@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-parallel test-parallel8 explain-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery clean
+.PHONY: all build test test-parallel test-parallel8 explain-golden trace-check chaos-smoke mem-smoke udf-smoke pool-smoke serve-smoke overload-smoke crash-smoke check bench bench-scaleup bench-faults bench-memory bench-udf bench-serve bench-overload bench-recovery perf clean
 
 all: build
 
@@ -112,6 +112,20 @@ bench-overload:
 # BENCH_recovery.json).
 bench-recovery:
 	dune exec bench/main.exe -- recovery
+
+# Wall-clock benchmark (perfbench/, see its README): every workload once
+# at seed 1 with a 20 s timed phase and a traced pass, printing each
+# workload's end-to-end metrics. Fails when a run fails or its output
+# check does. About two minutes.
+PERF_WORKLOADS = iterative relational serve journal
+
+perf:
+	@for w in $(PERF_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 1 \
+	  | awk '/^workload |^FAIL/ { print } /^end-to-end/ { on = 1 } /^per-layer/ { on = 0 } \
+	         on { print } /^\{"correct": true/ { ok = 1 } END { exit !ok }' \
+	  || exit 1; \
+	done
 
 clean:
 	dune clean

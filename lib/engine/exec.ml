@@ -226,6 +226,17 @@ let note_op t op pd =
       ev_clock = t.metrics.Metrics.sim_time_s }
     :: t.trace
 
+(* A binary operator's input is the union of its sides: the sizes add up
+   exactly, under the larger multipliers, as [Pdata.union] would give. *)
+let note_pair t op (a : Pdata.t) (b : Pdata.t) =
+  t.trace <-
+    { ev_op = op;
+      ev_records =
+        float_of_int (Pdata.records a + Pdata.records b) *. Float.max a.Pdata.rmult b.Pdata.rmult;
+      ev_bytes = (Pdata.bytes a +. Pdata.bytes b) *. Float.max a.Pdata.bmult b.Pdata.bmult;
+      ev_clock = t.metrics.Metrics.sim_time_s }
+    :: t.trace
+
 (* ------------------------------------------------------------------ *)
 (* Cost charging                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -440,14 +451,9 @@ let charge_local_cpu t (pd : Pdata.t) =
     cost_of ~recs:(Pdata.logical_records pd) ~bytes:(Pdata.logical_bytes pd)
     /. float_of_int (Pdata.nparts pd)
   in
-  let largest_record =
-    Array.fold_left
-      (fun acc part ->
-        List.fold_left (fun acc v -> max acc (float_of_int (Value.byte_size v))) acc part)
-      0.0 pd.Pdata.parts
-  in
   let base =
-    Float.max avg (cost_of ~recs:pd.Pdata.rmult ~bytes:(largest_record *. pd.Pdata.bmult))
+    Float.max avg
+      (cost_of ~recs:pd.Pdata.rmult ~bytes:(Pdata.largest_record pd *. pd.Pdata.bmult))
   in
   charge t base;
   inject_stragglers t base (Pdata.nparts pd)
@@ -581,7 +587,7 @@ let reserve_memory t ~op ~needs =
    physical bytes × the provenance byte multiplier (logical bytes, the
    budget's unit). *)
 let part_needs (pd : Pdata.t) =
-  Array.map (fun part -> list_bytes part *. pd.Pdata.bmult) pd.Pdata.parts
+  Array.map (fun b -> b *. pd.Pdata.bmult) (Pdata.part_bytes pd)
 
 (* Admit a freshly materialized Mem-cached bag to the LRU registry,
    evicting least-recently-used cached bags to stay under the cache
@@ -741,12 +747,16 @@ let par_run t n (f : int -> 'a) : 'a array =
       rs
   end
 
-(* Narrow (partition-local) transform on the pool, mirroring
-   [Pdata.map_parts_preserving] — for partition-local work that is NOT a
-   list homomorphism (e.g. within-partition dedup) and must stay one task
-   per partition. *)
-let par_map_parts_preserving t f (pd : Pdata.t) : Pdata.t =
-  { pd with Pdata.parts = par_run t (Pdata.nparts pd) (fun i -> f pd.Pdata.parts.(i)) }
+(* [par_run] for tasks that build output partitions: each task also
+   measures the partition it built, so the bag leaves the barrier with its
+   size statistics and the coordinator never walks it. *)
+let par_bag t ?part_key ~rmult ~bmult n (f : int -> Value.t list) : Pdata.t =
+  let rs =
+    par_run t n (fun i ->
+        let part = f i in
+        (part, Pdata.measure part))
+  in
+  Pdata.make ?part_key ~rmult ~bmult ~sizes:(Array.map snd rs) (Array.map fst rs)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive chunking                                                    *)
@@ -833,13 +843,13 @@ let split_chunks k (parts : Value.t list array) =
   Array.of_list (List.rev !tasks)
 
 (* Chunked barrier for order-preserving list homomorphisms: [f] runs over
-   every chunk on the pool and the per-partition outputs are the in-order
-   concatenations of their chunks' outputs. Shares all of [par_run]'s
+   every chunk on the pool and each partition gets its chunks' outputs in
+   order, for the caller to concatenate. Shares all of [par_run]'s
    bookkeeping discipline: chaos draws and fault charges are keyed on the
    LOGICAL partition count (never the chunk count, which varies with the
    chunk policy), UDF counts tally through the domain-local cell, and
    cost charging stays on the coordinator. *)
-let par_chunked t (f : Value.t list -> 'b list) (pd : Pdata.t) : 'b list array =
+let par_chunked t (f : Value.t list -> 'r) (pd : Pdata.t) : 'r list array =
   let nparts = Pdata.nparts pd in
   check_interrupts t;
   inject_barrier_faults t nparts;
@@ -855,7 +865,7 @@ let par_chunked t (f : Value.t list -> 'b list) (pd : Pdata.t) : 'b list array =
           (fun () -> f rows)
   in
   if nparts <= 1 && Pdata.records pd <= 1 || Pool.size t.pool <= 1 then
-    Pool.parmap t.pool (fun i -> f_traced (i, parts.(i))) (Array.init nparts Fun.id)
+    Pool.parmap t.pool (fun i -> [ f_traced (i, parts.(i)) ]) (Array.init nparts Fun.id)
   else begin
     let tasks = split_chunks (chunk_rows t pd) parts in
     let n = Array.length tasks in
@@ -888,14 +898,26 @@ let par_chunked t (f : Value.t list -> 'b list) (pd : Pdata.t) : 'b list array =
       add_udf_count t c;
       chunks_of.(p) <- r :: chunks_of.(p)
     done;
-    Array.map List.concat chunks_of
+    chunks_of
   end
 
-let par_map_parts_chunked t f (pd : Pdata.t) : Pdata.t =
-  { pd with Pdata.parts = par_chunked t f pd; Pdata.part_key = None }
+(* Chunked narrow transform: every chunk task measures its own output, and
+   a partition's size is the sum of its chunks' sizes — integers, so the
+   same for every chunk policy. *)
+let par_map_chunked t part_key f (pd : Pdata.t) : Pdata.t =
+  let chunks =
+    par_chunked t
+      (fun rows ->
+        let out = f rows in
+        (out, Pdata.measure out))
+      pd
+  in
+  Pdata.make ?part_key ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult
+    ~sizes:(Array.map (List.fold_left (fun acc (_, s) -> Pdata.add acc s) Pdata.zero) chunks)
+    (Array.map (function [ (out, _) ] -> out | cs -> List.concat_map fst cs) chunks)
 
-let par_map_parts_preserving_chunked t f (pd : Pdata.t) : Pdata.t =
-  { pd with Pdata.parts = par_chunked t f pd }
+let par_map_parts_chunked t f pd = par_map_chunked t None f pd
+let par_map_parts_preserving_chunked t f pd = par_map_chunked t pd.Pdata.part_key f pd
 
 (* ------------------------------------------------------------------ *)
 (* Plan execution                                                       *)
@@ -1204,17 +1226,17 @@ and exec_plan_inner t env (p : Plan.t) : out =
   | Plan.Eq_join { lkey; rkey; left; right } ->
       let lpd = exec_to_bag t env left in
       let rpd = exec_to_bag t env right in
-      note_op t "join" (Pdata.union lpd rpd);
+      note_pair t "join" lpd rpd;
       exec_join t env ~semi:false ~lkey ~rkey lpd rpd
   | Plan.Semi_join { lkey; rkey; left; right } ->
       let lpd = exec_to_bag t env left in
       let rpd = exec_to_bag t env right in
-      note_op t "semijoin" (Pdata.union lpd rpd);
+      note_pair t "semijoin" lpd rpd;
       exec_join t env ~semi:true ~lkey ~rkey lpd rpd
   | Plan.Anti_join { lkey; rkey; left; right } ->
       let lpd = exec_to_bag t env left in
       let rpd = exec_to_bag t env right in
-      note_op t "antijoin" (Pdata.union lpd rpd);
+      note_pair t "antijoin" lpd rpd;
       exec_anti_join t env ~lkey ~rkey lpd rpd
   | Plan.Cross (a, b) ->
       let apd = exec_to_bag t env a in
@@ -1303,15 +1325,16 @@ and exec_plan_inner t env (p : Plan.t) : out =
              (fun i ->
                (if i < Array.length a then a.(i) else 0.0)
                +. (if i < Array.length b then b.(i) else 0.0)));
-      let parts =
-        par_run t (Pdata.nparts apd) (fun i ->
+      let out =
+        par_bag t ~part_key:idkey ~rmult:apd.Pdata.rmult ~bmult:apd.Pdata.bmult
+          (Pdata.nparts apd) (fun i ->
             let da = Emma_databag.Databag.of_list apd.Pdata.parts.(i) in
             let db = Emma_databag.Databag.of_list bpd.Pdata.parts.(i) in
             Emma_databag.Databag.to_list
               (Emma_databag.Databag.minus ~cmp:Value.compare da db))
       in
       charge_local_cpu t apd;
-      Obag { Pdata.parts; part_key = Some idkey; rmult = apd.Pdata.rmult; bmult = apd.Pdata.bmult }
+      Obag out
   | Plan.Distinct a ->
       let pd = exec_to_bag t env a in
       charge_stage t;
@@ -1320,13 +1343,14 @@ and exec_plan_inner t env (p : Plan.t) : out =
       (* per-slot sort/dedup buffer *)
       reserve_memory t ~op:"distinct" ~needs:(part_needs pd);
       charge_local_cpu t pd;
+      (* within-partition dedup is not a list homomorphism: one task per
+         partition, keeping the key property *)
       Obag
-        (par_map_parts_preserving t
-           (fun part ->
+        (par_bag t ?part_key:pd.Pdata.part_key ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult
+           (Pdata.nparts pd) (fun i ->
              Emma_databag.Databag.to_list
                (Emma_databag.Databag.distinct ~cmp:Value.compare
-                  (Emma_databag.Databag.of_list part)))
-           pd)
+                  (Emma_databag.Databag.of_list pd.Pdata.parts.(i)))))
   | Plan.Cache q -> begin
       (* Transparent here; eager materialization is handled at the handle
          level by the driver (see force_plan). *)
@@ -1373,7 +1397,7 @@ and exec_plan_inner t env (p : Plan.t) : out =
               (fun h -> Hashtbl.fold (fun _ r acc -> !r :: acc) h [])
               sh.s_parts
           in
-          Obag { Pdata.parts; part_key = Some sh.s_key; rmult = sh.s_rmult; bmult = sh.s_bmult }
+          Obag (Pdata.make ~part_key:sh.s_key ~rmult:sh.s_rmult ~bmult:sh.s_bmult parts)
       | _ -> raise (Engine_failure (Printf.sprintf "%s is not a stateful bag" x))
     end
   | Plan.Stateful_update { state; udf } -> begin
@@ -1382,8 +1406,9 @@ and exec_plan_inner t env (p : Plan.t) : out =
           charge_stage t;
           let f = udf_fn t env udf in
           (* each task mutates only its own partition's state cells *)
-          let delta_parts =
-            par_run t (Array.length sh.s_parts) (fun i ->
+          let pd =
+            par_bag t ~part_key:sh.s_key ~rmult:sh.s_rmult ~bmult:sh.s_bmult
+              (Array.length sh.s_parts) (fun i ->
                 let h = sh.s_parts.(i) in
                 let delta = ref [] in
                 Hashtbl.iter
@@ -1395,12 +1420,6 @@ and exec_plan_inner t env (p : Plan.t) : out =
                     | None -> ())
                   h;
                 !delta)
-          in
-          let pd =
-            { Pdata.parts = delta_parts;
-              part_key = Some sh.s_key;
-              rmult = sh.s_rmult;
-              bmult = sh.s_bmult }
           in
           charge_local_cpu t pd;
           Obag pd
@@ -1417,8 +1436,9 @@ and exec_plan_inner t env (p : Plan.t) : out =
           let msgs = shuffle_by t sh.s_key mkeyfn msgs in
           charge_local_cpu t msgs;
           let f = udf2_fn t env udf in
-          let delta_parts =
-            par_run t (Array.length sh.s_parts) (fun i ->
+          Obag
+            (par_bag t ~part_key:sh.s_key ~rmult:sh.s_rmult ~bmult:sh.s_bmult
+               (Array.length sh.s_parts) (fun i ->
                 let h = sh.s_parts.(i) in
                 let changed = Hashtbl.create 16 in
                 let mpart = if i < Pdata.nparts msgs then msgs.Pdata.parts.(i) else [] in
@@ -1435,34 +1455,55 @@ and exec_plan_inner t env (p : Plan.t) : out =
                         | None -> ()
                       end)
                   mpart;
-                Hashtbl.fold (fun _ r acc -> !r :: acc) changed [])
-          in
-          Obag
-            { Pdata.parts = delta_parts;
-              part_key = Some sh.s_key;
-              rmult = sh.s_rmult;
-              bmult = sh.s_bmult }
+                Hashtbl.fold (fun _ r acc -> !r :: acc) changed []))
       | _ -> raise (Engine_failure (Printf.sprintf "%s is not a stateful bag" state))
     end
 
 (* Shuffle to a hash partitioning by [key] unless already co-partitioned.
-   The map side — evaluating the key UDF and routing every element — runs
-   per partition on the pool; the scatter itself is coordinator-side list
-   surgery, reproducing [Pdata.repartition]'s layout exactly. *)
+   The map side — evaluating the key UDF, routing and measuring every
+   element — runs per partition on the pool; the scatter itself is
+   coordinator-side list surgery, reproducing [Pdata.repartition]'s layout
+   exactly, and adds up the measured sizes per target partition. *)
 and shuffle_by t key keyfn (pd : Pdata.t) : Pdata.t =
   if Pdata.co_partitioned pd key then pd
   else begin
     charge_shuffle t (Pdata.logical_bytes pd);
     let nparts = max 1 (dop t) in
     inject_fetch_faults t ~bytes:(Pdata.logical_bytes pd) ~nparts;
+    (* a routing task returns its rows with each row's target partition
+       and size, in unboxed arrays *)
     let routed =
       par_chunked t
-        (List.map (fun v -> (abs (Value.hash (keyfn v)) mod nparts, v)))
+        (fun rows ->
+          let n = List.length rows in
+          let target = Array.make n 0 and size = Array.make n 0 in
+          List.iteri
+            (fun j v ->
+              target.(j) <- abs (Value.hash (keyfn v)) mod nparts;
+              size.(j) <- Value.byte_size v)
+            rows;
+          (rows, target, size))
         pd
     in
     let parts = Array.make nparts [] in
-    Array.iter (List.iter (fun (i, v) -> parts.(i) <- v :: parts.(i))) routed;
-    { pd with Pdata.parts = Array.map List.rev parts; Pdata.part_key = Some key }
+    let records = Array.make nparts 0 and bytes = Array.make nparts 0 in
+    let largest = Array.make nparts 0 in
+    Array.iter
+      (List.iter (fun (rows, target, size) ->
+           List.iteri
+             (fun j v ->
+               let i = target.(j) and b = size.(j) in
+               parts.(i) <- v :: parts.(i);
+               records.(i) <- records.(i) + 1;
+               bytes.(i) <- bytes.(i) + b;
+               largest.(i) <- Int.max largest.(i) b)
+             rows))
+      routed;
+    Pdata.make ~part_key:key ~rmult:pd.Pdata.rmult ~bmult:pd.Pdata.bmult
+      ~sizes:
+        (Array.init nparts (fun i ->
+             { Pdata.records = records.(i); bytes = bytes.(i); largest = largest.(i) }))
+      (Array.map List.rev parts)
   end
 
 and exec_group_by t key keyfn (pd : Pdata.t) : out =
@@ -1477,21 +1518,28 @@ and exec_group_by t key keyfn (pd : Pdata.t) : out =
         | Some l -> l := v :: !l
         | None -> Hashtbl.add h k (ref [ v ]))
       part;
-    Hashtbl.fold
-      (fun k l acc -> Value.record [ ("key", k); ("values", Value.bag (List.rev !l)) ] :: acc)
-      h []
+    (* with the partition's largest group, measured here in the task *)
+    let largest = ref 0 in
+    let groups =
+      Hashtbl.fold
+        (fun k l acc ->
+          let values = Value.bag (List.rev !l) in
+          largest := Int.max !largest (Value.byte_size values);
+          Value.record [ ("key", k); ("values", values) ] :: acc)
+        h []
+    in
+    (groups, !largest)
   in
-  let parts = par_run t (Pdata.nparts pd) (fun i -> groups_of pd.Pdata.parts.(i)) in
+  let results =
+    par_run t (Pdata.nparts pd) (fun i ->
+        let groups, largest = groups_of pd.Pdata.parts.(i) in
+        (groups, Pdata.measure groups, largest))
+  in
   let overhead = t.cluster.Cluster.group_overhead in
   let out_rmult = 1.0 and out_bmult = pd.Pdata.bmult *. overhead in
   (* memory check: the largest materialized group must fit in one slot *)
   let max_group_bytes =
-    Array.fold_left
-      (fun acc part ->
-        List.fold_left
-          (fun acc g -> max acc (float_of_int (Value.byte_size (Value.field g "values"))))
-          acc part)
-      0.0 parts
+    float_of_int (Array.fold_left (fun acc (_, _, largest) -> Int.max acc largest) 0 results)
   in
   let max_group_logical = max_group_bytes *. pd.Pdata.bmult *. overhead in
   if max_group_logical > t.cluster.Cluster.mem_per_slot then begin
@@ -1504,7 +1552,9 @@ and exec_group_by t key keyfn (pd : Pdata.t) : out =
               (t.cluster.Cluster.mem_per_slot /. 1e6)))
   end;
   let out =
-    { Pdata.parts; part_key = Some (group_key_udf ()); rmult = out_rmult; bmult = out_bmult }
+    Pdata.make ~part_key:(group_key_udf ()) ~rmult:out_rmult ~bmult:out_bmult
+      ~sizes:(Array.map (fun (_, size, _) -> size) results)
+      (Array.map (fun (groups, _, _) -> groups) results)
   in
   (* budget governance is a second, per-slot layer over the legacy
      single-group check above: the whole hash table of groups a slot
@@ -1527,10 +1577,7 @@ and exec_agg_by t key keyfn ~empty ~single ~union (pd : Pdata.t) : out =
     Hashtbl.fold (fun k acc l -> Value.tuple [ k; !acc ] :: l) h []
   in
   let combined =
-    { Pdata.parts = par_run t (Pdata.nparts pd) (fun i -> combine pd.Pdata.parts.(i));
-      part_key = None;
-      rmult = 1.0;
-      bmult = 1.0 }
+    par_bag t ~rmult:1.0 ~bmult:1.0 (Pdata.nparts pd) (fun i -> combine pd.Pdata.parts.(i))
   in
   (* the map-side combine hash table: one (key, acc) pair per distinct
      key per partition *)
@@ -1560,11 +1607,8 @@ and exec_agg_by t key keyfn ~empty ~single ~union (pd : Pdata.t) : out =
     Hashtbl.fold (fun k acc l -> Value.record [ ("key", k); ("agg", !acc) ] :: l) h []
   in
   let out =
-    { Pdata.parts =
-        par_run t (Pdata.nparts shuffled) (fun i -> reduce shuffled.Pdata.parts.(i));
-      part_key = Some (group_key_udf ());
-      rmult = 1.0;
-      bmult = 1.0 }
+    par_bag t ~part_key:(group_key_udf ()) ~rmult:1.0 ~bmult:1.0 (Pdata.nparts shuffled)
+      (fun i -> reduce shuffled.Pdata.parts.(i))
   in
   (* the reduce-side merge hash table *)
   reserve_memory t ~op:"aggBy" ~needs:(part_needs out);
@@ -1656,9 +1700,14 @@ and exec_join t env ~semi ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
     reserve_memory t ~op:"join" ~needs:(part_needs r);
     charge_local_cpu t l;
     charge_local_cpu t r;
+    let part_key = if semi then Some lkey else None in
+    let rmult, bmult =
+      if semi then (lpd.Pdata.rmult, lpd.Pdata.bmult)
+      else (Float.max lpd.Pdata.rmult rpd.Pdata.rmult, Float.max lpd.Pdata.bmult rpd.Pdata.bmult)
+    in
     (* partition-local build + probe, one task per partition *)
-    let parts =
-      par_run t (Pdata.nparts l) (fun i ->
+    Obag
+      (par_bag t ?part_key ~rmult ~bmult (Pdata.nparts l) (fun i ->
           let rpart = if i < Pdata.nparts r then r.Pdata.parts.(i) else [] in
           let index : (Value.t, Value.t list ref) Hashtbl.t =
             Hashtbl.create (List.length rpart)
@@ -1678,14 +1727,7 @@ and exec_join t env ~semi ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
                 match Hashtbl.find_opt index (lfn v) with
                 | None -> []
                 | Some ws -> List.map (fun w -> Value.tuple [ v; w ]) !ws)
-              l.Pdata.parts.(i))
-    in
-    let part_key = if semi then Some lkey else None in
-    let rmult, bmult =
-      if semi then (lpd.Pdata.rmult, lpd.Pdata.bmult)
-      else (Float.max lpd.Pdata.rmult rpd.Pdata.rmult, Float.max lpd.Pdata.bmult rpd.Pdata.bmult)
-    in
-    Obag { Pdata.parts; part_key; rmult; bmult }
+              l.Pdata.parts.(i)))
   end
 
 (* Anti-join: left elements with NO right match. The right side only
@@ -1723,18 +1765,13 @@ and exec_anti_join t env ~lkey ~rkey (lpd : Pdata.t) (rpd : Pdata.t) : out =
     reserve_memory t ~op:"antijoin" ~needs:(part_needs r);
     charge_local_cpu t l;
     charge_local_cpu t r;
-    let parts =
-      par_run t (Pdata.nparts l) (fun i ->
-          let rpart = if i < Pdata.nparts r then r.Pdata.parts.(i) else [] in
-          let keyset = Hashtbl.create (List.length rpart) in
-          List.iter (fun v -> Hashtbl.replace keyset (rfn v) ()) rpart;
-          List.filter (fun v -> not (Hashtbl.mem keyset (lfn v))) l.Pdata.parts.(i))
-    in
     Obag
-      { Pdata.parts;
-        part_key = Some lkey;
-        rmult = lpd.Pdata.rmult;
-        bmult = lpd.Pdata.bmult }
+      (par_bag t ~part_key:lkey ~rmult:lpd.Pdata.rmult ~bmult:lpd.Pdata.bmult (Pdata.nparts l)
+         (fun i ->
+           let rpart = if i < Pdata.nparts r then r.Pdata.parts.(i) else [] in
+           let keyset = Hashtbl.create (List.length rpart) in
+           List.iter (fun v -> Hashtbl.replace keyset (rfn v) ()) rpart;
+           List.filter (fun v -> not (Hashtbl.mem keyset (lfn v))) l.Pdata.parts.(i)))
   end
 
 (* ------------------------------------------------------------------ *)

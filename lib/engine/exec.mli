@@ -200,3 +200,17 @@ type trace_event = {
 val trace : t -> trace_event list
 (** Chronological record of the executed operators with their input sizes
     — the engine's observability hook (surfaced by the CLI's [--trace]). *)
+
+(** {2 Partition barriers, exposed for tests} Each returns a bag whose
+    size statistics its tasks measured. *)
+
+val par_map_parts_chunked : t -> (Value.t list -> Value.t list) -> Pdata.t -> Pdata.t
+(** The chunked barrier of map and flatMap; clears the key property. *)
+
+val par_map_parts_preserving_chunked :
+  t -> (Value.t list -> Value.t list) -> Pdata.t -> Pdata.t
+(** The chunked barrier of filter; keeps the key property. *)
+
+val shuffle_by : t -> Plan.udf -> (Value.t -> Value.t) -> Pdata.t -> Pdata.t
+(** Hash-partitions by the key (charging the shuffle) unless already
+    co-partitioned by an alpha-equal key. *)
