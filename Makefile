@@ -115,15 +115,21 @@ bench-recovery:
 
 # Wall-clock benchmark (perfbench/, see its README): every workload once
 # at seed 1 with a 20 s timed phase and a traced pass, printing each
-# workload's end-to-end metrics. Fails when a run fails or its output
-# check does. About two minutes.
+# workload's end-to-end metrics and, under them, the per-layer metrics
+# named in PERF_LAYERS (set it to the layers a change should move; empty
+# prints none). Fails when a run fails or its output check does. About
+# two minutes.
 PERF_WORKLOADS = iterative relational serve journal
+PERF_LAYERS = engine.stage_self_s.source pool.tasks_run engine.tasks
 
 perf:
 	@for w in $(PERF_WORKLOADS); do \
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 1 \
-	  | awk '/^workload |^FAIL/ { print } /^end-to-end/ { on = 1 } /^per-layer/ { on = 0 } \
-	         on { print } /^\{"correct": true/ { ok = 1 } END { exit !ok }' \
+	  | awk -v layers="$(PERF_LAYERS)" \
+	      'BEGIN { n = split(layers, l, " "); for (i = 1; i <= n; i++) want[l[i]] = 1 } \
+	       /^workload |^FAIL/ { print } /^end-to-end/ { on = 1 } \
+	       /^per-layer/ { on = 0; layer = 1; if (n) print } /^record / { layer = 0 } \
+	       on || (layer && $$1 in want) { print } /^\{"correct": true/ { ok = 1 } END { exit !ok }' \
 	  || exit 1; \
 	done
 

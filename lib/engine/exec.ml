@@ -949,6 +949,31 @@ let plan_op_name : Plan.t -> string = function
   | Plan.Stateful_update _ -> "statefulUpdate"
   | Plan.Stateful_update_msgs _ -> "statefulUpdateMsgs"
 
+let bag_args pd =
+  [ ("out_records", Trace.A_float (Pdata.logical_records pd));
+    ("out_bytes", Trace.A_float (Pdata.logical_bytes pd)) ]
+
+(* A table's partitioned, measured layout is shared by every read of the
+   same row list at this dop; the read only applies the table's scale. The
+   flag says whether the layout was reused. *)
+let read_table t name =
+  let rows =
+    try Eval.read_table t.eval_ctx name with Eval.Eval_error m -> raise (Engine_failure m)
+  in
+  let sc = Cluster.table_scale t.cluster name in
+  let pd, reused = Pdata.of_table ~pool:t.pool ~nparts:(dop t) rows in
+  let pd = Pdata.with_mult ~rmult:sc ~bmult:sc pd in
+  charge_stage t;
+  charge_dfs_read t (Pdata.logical_bytes pd);
+  (pd, reused)
+
+(* DRV → DFL: the bag's statistics, measured as it is built, price the
+   motion. *)
+let parallelize t vs =
+  let pd = Pdata.of_list ~pool:t.pool ~nparts:(dop t) vs in
+  charge_parallelize t (Pdata.bytes pd);
+  pd
+
 let rec collect_bag t (h : handle) : Value.t list * float * float =
   (* returns (rows, logical bytes, logical records) *)
   match h.h_collected with
@@ -1068,8 +1093,9 @@ and worker_env t env ~params body_exprs =
               seen_tables := name :: !seen_tables;
               let rows = try Eval.read_table t.eval_ctx name with Eval.Eval_error _ -> [] in
               let sc = Cluster.table_scale t.cluster name in
-              inner_records := !inner_records +. (float_of_int (List.length rows) *. sc);
-              charge_broadcast t (list_bytes rows *. sc)
+              let pd, _ = Pdata.of_table ~pool:t.pool ~nparts:(dop t) rows in
+              inner_records := !inner_records +. (float_of_int (Pdata.records pd) *. sc);
+              charge_broadcast t (Pdata.bytes pd *. sc)
           | _ -> ())
         e)
     body_exprs;
@@ -1163,42 +1189,40 @@ and exec_to_bag t env p =
 and exec_plan t env (p : Plan.t) : out =
   if not (Trace.enabled t.tracer) then exec_plan_inner t env p
   else
-    Trace.span_f t.tracer ~cat:"stage" (plan_op_name p)
-      ~end_args:(function
-        | Obag pd ->
-            [ ("out_records", Trace.A_float (Pdata.logical_records pd));
-              ("out_bytes", Trace.A_float (Pdata.logical_bytes pd)) ]
-        | Oscalar _ -> [ ("out", Trace.A_str "scalar") ]
-        | Ostateful _ -> [ ("out", Trace.A_str "stateful") ])
-      (fun () -> exec_plan_inner t env p)
+    match p with
+    | Plan.Read name ->
+        (* the span also says whether the table's partitioning was reused
+           or paid for by this read *)
+        let pd, _ =
+          Trace.span_f t.tracer ~cat:"stage" "read"
+            ~end_args:(fun (pd, reused) -> ("parts_cached", Trace.A_bool reused) :: bag_args pd)
+            (fun () -> read_table t name)
+        in
+        Obag pd
+    | _ ->
+        Trace.span_f t.tracer ~cat:"stage" (plan_op_name p)
+          ~end_args:(function
+            | Obag pd -> bag_args pd
+            | Oscalar _ -> [ ("out", Trace.A_str "scalar") ]
+            | Ostateful _ -> [ ("out", Trace.A_str "stateful") ])
+          (fun () -> exec_plan_inner t env p)
 
 and exec_plan_inner t env (p : Plan.t) : out =
   match p with
   | Plan.Read name ->
-      let rows =
-        try Eval.read_table t.eval_ctx name
-        with Eval.Eval_error m -> raise (Engine_failure m)
-      in
-      let sc = Cluster.table_scale t.cluster name in
-      let pd = Pdata.of_list ~pool:t.pool ~rmult:sc ~bmult:sc ~nparts:(dop t) rows in
-      charge_stage t;
-      charge_dfs_read t (Pdata.logical_bytes pd);
-      Obag pd
+      Obag (fst (read_table t name))
   | Plan.Scan x -> begin
       match lookup_env env x with
       | Dbag h -> Obag (materialize t h)
       | Dscalar (Eval.V (Value.Bag vs)) ->
           (* DRV → DFL: parallelize a driver-local bag. *)
-          charge_parallelize t (list_bytes vs);
-          Obag (Pdata.of_list ~pool:t.pool ~nparts:(dop t) vs)
+          Obag (parallelize t vs)
       | Dscalar _ -> raise (Engine_failure (Printf.sprintf "scan %s: not a bag" x))
       | Dstateful _ ->
           raise (Engine_failure (Printf.sprintf "scan %s: use statefulRead" x))
     end
   | Plan.Local e ->
-      let vs = Value.to_bag (eval_driver_expr t env e) in
-      charge_parallelize t (list_bytes vs);
-      Obag (Pdata.of_list ~pool:t.pool ~nparts:(dop t) vs)
+      Obag (parallelize t (Value.to_bag (eval_driver_expr t env e)))
   | Plan.Map (u, q) ->
       let pd = exec_to_bag t env q in
       note_op t "map" pd;

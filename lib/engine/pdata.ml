@@ -87,6 +87,50 @@ let of_list ?pool ?rmult ?bmult ~nparts vs =
       List.iteri (fun i v -> parts.(i mod n) <- v :: parts.(i mod n)) vs;
       make ?rmult ?bmult (Array.map List.rev parts)
 
+(* Table layouts, keyed on the physical identity of the row list. The
+   ephemeron does not keep its key alive, so an entry dies with its table;
+   each entry holds one measured bag per partition count. *)
+module Tables = Ephemeron.K1.Make (struct
+  type t = Value.t list
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let tables : (int * t) list Tables.t = Tables.create 16
+let tables_lock = Mutex.create ()
+
+let cached_layout rows n =
+  Mutex.protect tables_lock (fun () ->
+      Option.bind (Tables.find_opt tables rows) (List.assoc_opt n))
+
+let of_table ?pool ~nparts rows =
+  let n = max 1 nparts in
+  match rows with
+  | [] ->
+      (* not a heap block, so as an ephemeron key it would never die; and
+         an empty layout costs nothing to build *)
+      (of_list ~nparts:n rows, false)
+  | _ -> (
+      match cached_layout rows n with
+      | Some pd -> (pd, true)
+      | None ->
+          (* built outside the lock, since the build may run on the pool;
+             measured before publishing, so no domain ever fills [stats] of
+             a shared bag *)
+          let pd = of_list ?pool ~nparts:n rows in
+          ignore (stats pd);
+          Mutex.protect tables_lock (fun () ->
+              let layouts = Option.value ~default:[] (Tables.find_opt tables rows) in
+              match List.assoc_opt n layouts with
+              | Some winner -> (winner, false)
+              | None ->
+                  Tables.replace tables rows ((n, pd) :: layouts);
+                  (pd, false)))
+
+let live_tables () =
+  Mutex.protect tables_lock (fun () -> (Tables.stats_alive tables).Hashtbl.num_bindings)
+
 (* The new bag shares the partitions, so it shares their statistics:
    measure once here rather than once per copy. *)
 let with_mult ~rmult ~bmult t = { t with rmult; bmult; stats = Some (stats t) }

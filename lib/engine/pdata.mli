@@ -62,6 +62,18 @@ val of_list :
     parallel on the domain pool — the layout is identical to the sequential
     path. *)
 
+val of_table : ?pool:Emma_util.Pool.t -> nparts:int -> Value.t list -> t * bool
+(** [of_list ~nparts rows] at multipliers 1, built and measured once per
+    physical row list and partition count, and shared afterwards: the flag
+    is [true] when the bag was reused. The memo is keyed on the list's
+    identity ([==]), so a structurally equal copy, or a table rewritten by
+    a sink, is a miss; it does not keep the list alive, so an entry goes
+    when its table does. Callers must not mutate the shared partitions
+    ({!with_mult} applies a table's scale without a copy). *)
+
+val live_tables : unit -> int
+(** Row lists with a live {!of_table} entry, for tests. *)
+
 val with_mult : rmult:float -> bmult:float -> t -> t
 (** Same partitions under new multipliers; the statistics carry over. *)
 

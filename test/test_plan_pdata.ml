@@ -159,9 +159,11 @@ let naive_largest pd =
 
 let naive_records pd = Array.fold_left (fun acc p -> acc + List.length p) 0 pd.Pdata.parts
 
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 (* Every memoised size equals the naive walk bit for bit. *)
 let stats_match pd =
-  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let same = bits_equal in
   let parts = naive_part_bytes pd in
   let bytes = Array.fold_left ( +. ) 0.0 parts in
   let records = naive_records pd in
@@ -202,13 +204,14 @@ let bag_case_gen =
       (pair (float_range 1.0 1e3) (float_range 1.0 1e3))
       (list_size (int_bound 12) value_gen))
 
+let pool2 = lazy (Emma_util.Pool.create ~domains:2 ())
+let () = at_exit (fun () -> if Lazy.is_val pool2 then Emma_util.Pool.shutdown (Lazy.force pool2))
+
 let prop_stats_match_naive_walk =
   let key = P.udf_of_expr (Expr.Lam ("x", Expr.Var "x")) in
-  let pool = lazy (Emma_util.Pool.create ~domains:2 ()) in
-  at_exit (fun () -> if Lazy.is_val pool then Emma_util.Pool.shutdown (Lazy.force pool));
   Helpers.qcheck_case "memoised sizes = naive walk" ~count:150 bag_case_gen
     (fun (vs, nparts, chunk, (rmult, bmult), extra) ->
-      let pool = Lazy.force pool in
+      let pool = Lazy.force pool2 in
       let engine =
         Exec.create
           ~config:
@@ -261,22 +264,24 @@ let test_pdata_measured_once () =
 
 (* Running TPC-H Q3 on the engine measures each bag at most once, however
    often cost charging, memory accounting and chunking ask for its size. *)
-let test_q3_measures_each_bag_once () =
+let q3_tables ~seed =
   let cfg = Emma_workloads.Tpch_gen.of_scale_factor 0.0005 in
-  let tables =
-    [ ("lineitem", Emma_workloads.Tpch_gen.lineitem ~seed:5 cfg);
-      ("orders", Emma_workloads.Tpch_gen.orders ~seed:5 cfg);
-      ("customer", Emma_workloads.Tpch_gen.customer ~seed:5 cfg) ]
-  in
-  let algo =
-    Emma.parallelize (Emma_programs.Tpch_q3.program Emma_programs.Tpch_q3.default_params)
-  in
-  let rt =
-    Emma.
-      { cluster = Emma_engine.Cluster.laptop ();
-        profile = Emma_engine.Cluster.spark_like;
-        timeout_s = None }
-  in
+  [ ("lineitem", Emma_workloads.Tpch_gen.lineitem ~seed cfg);
+    ("orders", Emma_workloads.Tpch_gen.orders ~seed cfg);
+    ("customer", Emma_workloads.Tpch_gen.customer ~seed cfg) ]
+
+let q3_algo =
+  lazy (Emma.parallelize (Emma_programs.Tpch_q3.program Emma_programs.Tpch_q3.default_params))
+
+let rt =
+  Emma.
+    { cluster = Emma_engine.Cluster.laptop ();
+      profile = Emma_engine.Cluster.spark_like;
+      timeout_s = None }
+
+let test_q3_measures_each_bag_once () =
+  let tables = q3_tables ~seed:5 in
+  let algo = Lazy.force q3_algo in
   let before = Pdata.counters () in
   (match Emma.run_on rt algo ~tables with
   | Emma.Finished _ -> ()
@@ -287,6 +292,154 @@ let test_q3_measures_each_bag_once () =
   Alcotest.(check bool) "bags were built and measured" true (built > 0 && measured > 0);
   if measured > built then
     Alcotest.failf "%d measurements for %d bags: some bag was measured twice" measured built
+
+(* ---- Tables partitioned once ----------------------------------------- *)
+
+module Metrics = Emma_engine.Metrics
+module Session = Emma.Session
+module Trace = Emma_util.Trace
+module S = Emma_lang.Surface
+
+(* Same layout and the same statistics, bit for bit. *)
+let same_bag (a : Pdata.t) (b : Pdata.t) =
+  Array.length a.Pdata.parts = Array.length b.Pdata.parts
+  && Array.for_all2 (List.equal Value.equal) a.Pdata.parts b.Pdata.parts
+  && Option.is_none a.Pdata.part_key = Option.is_none b.Pdata.part_key
+  && bits_equal a.Pdata.rmult b.Pdata.rmult
+  && bits_equal a.Pdata.bmult b.Pdata.bmult
+  && Pdata.records a = Pdata.records b
+  && bits_equal (Pdata.bytes a) (Pdata.bytes b)
+  && Array.for_all2 bits_equal (Pdata.part_bytes a) (Pdata.part_bytes b)
+  && bits_equal (Pdata.largest_record a) (Pdata.largest_record b)
+  && bits_equal (Pdata.logical_records a) (Pdata.logical_records b)
+  && bits_equal (Pdata.logical_bytes a) (Pdata.logical_bytes b)
+
+(* Two fresh spines of the same rows, so the first [of_table] of each at
+   each partition count is cold: one copy is built serially and read warm
+   on the pool, the other the other way round. *)
+let prop_of_table_is_of_list =
+  Helpers.qcheck_case "of_table = of_list, cold and warm" ~count:60
+    QCheck2.Gen.(list_size (int_bound 40) value_gen)
+    (fun vs ->
+      let pool = Lazy.force pool2 in
+      let counts = [ 1; 7; 320 ] in
+      let fresh = List.map (fun nparts -> Pdata.of_list ~nparts vs) counts in
+      List.for_all
+        (fun (cold_pool, warm_pool) ->
+          let rows = List.map Fun.id vs in
+          let shared = rows <> [] in
+          let cold = List.map (fun nparts -> Pdata.of_table ?pool:cold_pool ~nparts rows) counts in
+          let warm = List.map (fun nparts -> Pdata.of_table ?pool:warm_pool ~nparts rows) counts in
+          List.for_all2
+            (fun fresh ((cold, cold_reused), (warm, warm_reused)) ->
+              same_bag fresh cold && same_bag fresh warm && (not cold_reused)
+              && warm_reused = shared
+              && ((not shared) || warm == cold))
+            fresh (List.combine cold warm))
+        [ (None, Some pool); (Some pool, None) ])
+
+let cost_bits (m : Metrics.t) =
+  List.map Int64.bits_of_float
+    [ m.sim_time_s; m.shuffle_bytes; m.broadcast_bytes; m.dfs_read_bytes; m.dfs_write_bytes;
+      m.collect_bytes; m.parallelize_bytes; m.spilled_bytes; m.mem_peak_bytes;
+      float_of_int m.jobs; float_of_int m.stages; float_of_int m.recomputes;
+      float_of_int m.cache_hits; float_of_int m.udf_invocations ]
+
+(* The [parts_cached] flags of the traced read spans, in order. *)
+let read_flags tracer =
+  List.filter_map
+    (fun (e : Trace.event) ->
+      match (e.ev_ph, e.ev_name, List.assoc_opt "parts_cached" e.ev_args) with
+      | Trace.E, "read", Some (Trace.A_bool b) -> Some b
+      | _ -> None)
+    (Trace.events tracer)
+
+(* A second run of q3 in one session builds no bag for its reads, and
+   neither its value nor any cost field moves; a structural copy of the
+   tables is a miss and gives the same run again. *)
+let test_q3_second_run_reuses_reads () =
+  let tables = q3_tables ~seed:6 in
+  let copy = List.map (fun (name, rows) -> (name, List.map Fun.id rows)) tables in
+  let tracer = Trace.create () in
+  let session =
+    Session.create ~config:(Emma_engine.Config.(default |> with_trace (Some tracer))) rt
+  in
+  Fun.protect ~finally:(fun () -> Session.close session) @@ fun () ->
+  let run tables =
+    Trace.clear tracer;
+    let c0 = Pdata.counters () in
+    match Session.run session (Lazy.force q3_algo) ~tables with
+    | Emma.Finished r -> (r, (Pdata.counters ()).Pdata.built - c0.Pdata.built, read_flags tracer)
+    | _ -> Alcotest.fail "q3 did not finish"
+  in
+  let cold, cold_built, cold_flags = run tables in
+  let warm, warm_built, warm_flags = run tables in
+  let miss, miss_built, miss_flags = run copy in
+  let reads = List.length cold_flags in
+  Alcotest.(check int) "q3 reads its three tables" 3 reads;
+  Alcotest.(check (list bool)) "cold reads slice" (List.init reads (fun _ -> false)) cold_flags;
+  Alcotest.(check (list bool)) "warm reads reuse" (List.init reads (fun _ -> true)) warm_flags;
+  Alcotest.(check (list bool)) "a copy is a miss" cold_flags miss_flags;
+  Alcotest.(check int) "no bag built for warm reads" (cold_built - reads) warm_built;
+  Alcotest.(check int) "the copy builds what the cold run did" cold_built miss_built;
+  List.iter
+    (fun (what, (r : Session.run_result)) ->
+      Helpers.check_value (what ^ ": value") cold.Session.value r.Session.value;
+      if cost_bits cold.Session.metrics <> cost_bits r.Session.metrics then
+        Alcotest.failf "%s: cost fields moved" what)
+    [ ("warm", warm); ("miss", miss) ]
+
+(* Rows that differ under one table name are read as they are, even when
+   the lists share a prefix (and so, most likely, a hash). *)
+let test_same_name_new_rows () =
+  let rows lo n = List.init n (fun i -> Value.record [ ("a", Value.Int (lo + i)) ]) in
+  let first = rows 0 30 in
+  let second = first @ rows 100 5 in
+  let algo =
+    Emma.parallelize
+      (S.program ~ret:S.(sum (map (lam "x" (fun x -> field x "a")) (read "t"))) [])
+  in
+  let session = Session.create rt in
+  Fun.protect ~finally:(fun () -> Session.close session) @@ fun () ->
+  let sum rows =
+    match Session.run session algo ~tables:[ ("t", rows) ] with
+    | Emma.Finished r -> Value.to_int r.Session.value
+    | _ -> Alcotest.fail "run did not finish"
+  in
+  Alcotest.(check (list int)) "each run reads its own rows" [ 435; 945; 435; 945 ]
+    [ sum first; sum second; sum first; sum second ]
+
+(* Two domains reading one table at once share one bag, equal to a fresh
+   partitioning. *)
+let test_concurrent_reads_share () =
+  let pool = Lazy.force pool2 in
+  for i = 1 to 10 do
+    let rows = List.init (100 + i) Value.int in
+    let ready = Atomic.make 0 in
+    let read () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do Domain.cpu_relax () done;
+      fst (Pdata.of_table ~pool ~nparts:7 rows)
+    in
+    let d1 = Domain.spawn read and d2 = Domain.spawn read in
+    let a = Domain.join d1 and b = Domain.join d2 in
+    Alcotest.(check bool) "one shared bag" true (a == b);
+    Alcotest.(check bool) "= of_list" true (same_bag a (Pdata.of_list ~nparts:7 rows))
+  done
+
+(* The memo does not keep a table alive. *)
+let test_dropped_table_released () =
+  let read_and_count () =
+    let rows = List.init 50 Value.int in
+    ignore (Pdata.of_table ~nparts:4 rows);
+    Pdata.live_tables ()
+  in
+  Gc.full_major ();
+  let before = Pdata.live_tables () in
+  let during = (Sys.opaque_identity read_and_count) () in
+  Gc.full_major ();
+  Alcotest.(check int) "an entry while the table lives" (before + 1) during;
+  Alcotest.(check int) "released with the table" before (Pdata.live_tables ())
 
 let suite =
   [ ( "plan",
@@ -303,4 +456,10 @@ let suite =
         Alcotest.test_case "key property" `Quick test_pdata_key_property;
         Alcotest.test_case "measured once" `Quick test_pdata_measured_once;
         Alcotest.test_case "q3 measures each bag once" `Quick test_q3_measures_each_bag_once;
-        prop_stats_match_naive_walk ] ) ]
+        prop_stats_match_naive_walk;
+        prop_of_table_is_of_list;
+        Alcotest.test_case "q3 second run reuses its reads" `Quick
+          test_q3_second_run_reuses_reads;
+        Alcotest.test_case "same name, new rows" `Quick test_same_name_new_rows;
+        Alcotest.test_case "concurrent reads share a bag" `Quick test_concurrent_reads_share;
+        Alcotest.test_case "dropped table released" `Quick test_dropped_table_released ] ) ]
